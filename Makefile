@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check counterfactual-check load-smoke overload-smoke
+.PHONY: all build test race bench bench-json alloc-check perfbench-check fuzz fmt vet docs-check api-check wal-check repl-check serve soak golden golden-check counterfactual-check load-smoke overload-smoke
 
 all: build vet test
 
@@ -40,6 +40,13 @@ alloc-check:
 		-benchtime 100x -benchmem > bench_alloc.txt
 	$(GO) run ./cmd/bench2json < bench_alloc.txt > BENCH_alloc.json
 	$(GO) run ./cmd/benchdiff $(ALLOC_BASELINE) BENCH_alloc.json
+
+# perfbench-check compiles, vets and short-tests the repo benchmark
+# (perfbench/). It is its own Go module (replace templar => ../), so
+# `go build ./...` and `go test ./...` never compile it; this target
+# catches an internal API change that breaks the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s

@@ -9,7 +9,8 @@
 // (papers ≈ journal ≈ publication), intended join paths that lose to
 // shorter ones under uniform weights, equal-length join-path ties, numeric
 // predicate ambiguity, aggregation, self-joins, and parser-hazard NLQs for
-// the NaLIR error model (§VII-C). See DESIGN.md for the substitution notes.
+// the NaLIR error model (§VII-C). docs/ARCHITECTURE.md ("Evaluation
+// datasets and design ablations") records the substitution.
 package datasets
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 func TestArithmeticMeanOption(t *testing.T) {
-	m := NewMapper(masMini(t), embedding.New(), nil, Options{UseArithmeticMean: true})
+	m := NewSnapshotMapper(masMini(t), embedding.New(), nil, Options{UseArithmeticMean: true})
 	cfg := Configuration{Mappings: []Mapping{
 		{Kind: KindAttr, Rel: "publication", Attr: "title", Sim: 0.5},
 		{Kind: KindPred, Rel: "domain", Attr: "name", Op: "=", Sim: 0.8,
@@ -21,7 +21,7 @@ func TestArithmeticMeanOption(t *testing.T) {
 		t.Fatalf("arithmetic SimScore = %v, want 0.65", cfg.SimScore)
 	}
 	// Geometric mean penalizes imbalance harder than the arithmetic mean.
-	geo := NewMapper(masMini(t), embedding.New(), nil, Options{})
+	geo := NewSnapshotMapper(masMini(t), embedding.New(), nil, Options{})
 	cfg2 := Configuration{Mappings: append([]Mapping(nil), cfg.Mappings...)}
 	geo.scoreConfigAdhoc(&cfg2)
 	if cfg2.SimScore >= cfg.SimScore {
@@ -30,9 +30,9 @@ func TestArithmeticMeanOption(t *testing.T) {
 }
 
 func TestIncludeFromInQFGOption(t *testing.T) {
-	graph := paperishLog(t, fragment.NoConstOp)
-	base := NewMapper(masMini(t), embedding.New(), graph, Options{})
-	withFrom := NewMapper(masMini(t), embedding.New(), graph, Options{IncludeFromInQFG: true})
+	snap := paperishLog(t, fragment.NoConstOp).Snapshot(nil)
+	base := NewSnapshotMapper(masMini(t), embedding.New(), snap, Options{})
+	withFrom := NewSnapshotMapper(masMini(t), embedding.New(), snap, Options{IncludeFromInQFG: true})
 	cfg := Configuration{Mappings: []Mapping{
 		{Kind: KindRelation, Rel: "journal", Sim: 0.8},
 		{Kind: KindAttr, Rel: "journal", Attr: "name", Sim: 0.8},

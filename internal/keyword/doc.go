@@ -8,26 +8,25 @@
 //
 // # Entry points
 //
-// Mapper is the engine; MapKeywords is the call (Algorithm 1). NewMapper
-// binds a mapper to a database, similarity model and optional QFG —
-// compiling the graph into an immutable snapshot once, unless
-// Options.DisableSnapshot selects the retained map-backed ablation path.
-// NewSnapshotMapper instead ranks against whatever a qfg.SnapshotSource
-// currently publishes: pass a fixed *qfg.Snapshot for a frozen log (e.g.
-// one loaded from internal/store), or a *qfg.Live so copy-on-write
-// republishes reach the mapper without rebuilding it. WithSource pins a
+// Mapper is the engine; MapKeywords is the call (Algorithm 1).
+// NewSnapshotMapper binds a mapper to a database, similarity model and the
+// QFG snapshot source it ranks against: a fixed *qfg.Snapshot for a frozen
+// log (compiled with qfg.Graph.Snapshot, or loaded from internal/store), a
+// *qfg.Live so copy-on-write republishes reach the mapper without
+// rebuilding it, or nil for the log-free baseline. WithSource pins a
 // shallow copy of a mapper to one snapshot for the lifetime of a request
 // pipeline, sharing the candidate index and similarity cache.
 //
 // A Mapper is safe for concurrent use: candidate retrieval goes through an
 // inverted index over schema names and column values precomputed at
-// construction (seed scan path behind Options.DisableIndex), embedding
-// similarities are memoized in a bounded sharded cache, and QFG scoring
-// probes an immutable interned-ID snapshot with zero locking.
+// construction, embedding similarities are memoized in a bounded sharded
+// cache, and QFG scoring probes an immutable interned-ID snapshot with zero
+// locking.
 //
 // Keyword carries the parser metadata M_k = (τ, ω, F, g) of §V-A;
 // ParseSpec builds keyword lists from the compact "text:context[:op|:agg]"
 // textual form the CLI and HTTP layers accept. Configuration is one ranked
 // keyword→fragment mapping set; Options bundles κ, λ, obscurity and the
-// ablation toggles.
+// paper's design-ablation toggles (arithmetic mean, FROM fragments in
+// ScoreQFG).
 package keyword

@@ -10,18 +10,20 @@ import (
 	"templar/internal/stem"
 )
 
-// candidateIndex precomputes, at NewMapper time, everything keywordCands
-// otherwise re-derives from the database on every call: the FROM-context
-// relation list, the SELECT-context non-key attribute list, a per-attribute
-// inverted text index (sorted stemmed tokens with value postings, replacing
-// the full token-map scan in Table.MatchAll), and sorted distinct numeric
-// values per attribute (replacing the full row scan in Table.AnyMatch).
+// candidateIndex precomputes, at Mapper construction, everything
+// keywordCands would otherwise re-derive from the database on every call:
+// the FROM-context relation list, the SELECT-context non-key attribute
+// list, a per-attribute inverted text index (sorted stemmed tokens with
+// value postings, replacing the full token-map scan in Table.MatchAll), and
+// sorted distinct numeric values per attribute (replacing the full row scan
+// in Table.AnyMatch).
 //
 // The index is immutable after construction and therefore safe for
-// concurrent use. Candidate enumeration order matches the seed scan path
-// exactly — relations sorted for text/numeric probes, schema insertion
-// order for FROM and SELECT candidates — so an indexed Mapper returns
-// byte-identical configurations to an unindexed one.
+// concurrent use. Its answers — and their order: relations sorted for
+// text/numeric probes, schema insertion order for FROM and SELECT
+// candidates — equal the reference database scans (db.FindTextAttrs,
+// db.FindNumericAttrs, the schema's relation and attribute lists); the
+// keyword package tests compare the two over every bundled dataset.
 type candidateIndex struct {
 	// fromRels is the FROM-context candidate list (schema insertion order).
 	fromRels []string

@@ -1,7 +1,9 @@
 package keyword
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"templar/internal/db"
@@ -66,13 +68,11 @@ func paperishLog(t testing.TB, ob fragment.Obscurity) *qfg.Graph {
 
 func newMapper(t testing.TB, withQFG bool, opts Options) *Mapper {
 	t.Helper()
-	d := masMini(t)
-	var graph *qfg.Graph
+	var src qfg.SnapshotSource
 	if withQFG {
-		ob := opts.Obscurity
-		graph = paperishLog(t, ob)
+		src = paperishLog(t, opts.Obscurity).Snapshot(nil)
 	}
-	return NewMapper(d, embedding.New(), graph, opts)
+	return NewSnapshotMapper(masMini(t), embedding.New(), src, opts)
 }
 
 func TestExtractNumber(t *testing.T) {
@@ -161,7 +161,7 @@ func TestScoreAndPruneExactMatchExpelsOthers(t *testing.T) {
 }
 
 func TestPruneKeepsTopKWithTies(t *testing.T) {
-	m := NewMapper(masMini(t), embedding.New(), nil, Options{K: 2})
+	m := NewSnapshotMapper(masMini(t), embedding.New(), nil, Options{K: 2})
 	sorted := []Mapping{
 		{Keyword: "x", Kind: KindRelation, Rel: "a", Sim: 0.9},
 		{Keyword: "x", Kind: KindRelation, Rel: "b", Sim: 0.5},
@@ -256,6 +256,34 @@ func TestLambdaBlending(t *testing.T) {
 		if math.Abs(c.Score-want) > 1e-9 {
 			t.Fatalf("Score = %v, want %v", c.Score, want)
 		}
+	}
+}
+
+// TestNilSnapshotIsBaseline pins that a nil *qfg.Snapshot source is the
+// log-free baseline, exactly like an untyped nil: held in the
+// qfg.SnapshotSource interface it is non-nil, and taken at face value it
+// would blend λ against a zero ScoreQFG and reject obscurity assertions.
+func TestNilSnapshotIsBaseline(t *testing.T) {
+	kws := []Keyword{
+		{Text: "papers", Meta: Metadata{Context: fragment.Select}},
+		{Text: "TMC", Meta: Metadata{Context: fragment.Where}},
+	}
+	full := fragment.Full
+	co := CallOptions{Obscurity: &full}
+	want, err := NewSnapshotMapper(masMini(t), embedding.New(), nil, Options{}).MapKeywordsCtx(context.Background(), kws, co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *qfg.Snapshot
+	got, err := NewSnapshotMapper(masMini(t), embedding.New(), snap, Options{}).MapKeywordsCtx(context.Background(), kws, co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil *Snapshot source diverged from the baseline:\ngot:  %v\nwant: %v", got, want)
+	}
+	if got[0].Score != got[0].SimScore {
+		t.Fatalf("baseline Score %v != SimScore %v (λ must be 1 without a log)", got[0].Score, got[0].SimScore)
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	"templar/internal/sqlparse"
 )
 
-// Benchmarks for the configuration-ranking hot path: the map-backed QFG
-// scoring (DisableSnapshot, the seed path) vs the compiled interned-ID
-// snapshot. Run with:
+// Benchmarks for the configuration-ranking hot path: Dice scoring against
+// the compiled interned-ID snapshot, alone and inside a whole MapKeywords
+// call. Run with:
 //
 //	go test ./internal/keyword -bench 'Rank|MapKeywords' -benchmem
 
-func benchMapper(b *testing.B, disableSnapshot bool) *Mapper {
-	graph := paperishLog(b, fragment.NoConstOp)
-	return NewMapper(masMini(b), embedding.New(), graph, Options{DisableSnapshot: disableSnapshot})
+func benchMapper(b *testing.B) *Mapper {
+	snap := paperishLog(b, fragment.NoConstOp).Snapshot(nil)
+	return NewSnapshotMapper(masMini(b), embedding.New(), snap, Options{})
 }
 
 // rankedConfig is a configuration with three QFG-participating fragments
@@ -31,22 +31,10 @@ func rankedConfig() Configuration {
 	}}
 }
 
-// benchmarkDiceScoring isolates the Dice scoring path of configuration
-// ranking: ScoreQFG for one three-fragment configuration.
-func BenchmarkRankDiceScoringMap(b *testing.B) {
-	m := benchMapper(b, true)
-	cfg := rankedConfig()
-	var scratch []fragment.Fragment
-	m.scoreQFGMap(&cfg, &scratch, m.opts) // warm the scratch buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.scoreQFGMap(&cfg, &scratch, m.opts)
-	}
-}
-
+// BenchmarkRankDiceScoringSnapshot isolates the Dice scoring path of
+// configuration ranking: ScoreQFG for one three-fragment configuration.
 func BenchmarkRankDiceScoringSnapshot(b *testing.B) {
-	m := benchMapper(b, false)
+	m := benchMapper(b)
 	cfg := rankedConfig()
 	snap := m.src.CurrentSnapshot()
 	ob := snap.Obscurity()
@@ -61,10 +49,10 @@ func BenchmarkRankDiceScoringSnapshot(b *testing.B) {
 	}
 }
 
-// benchmarkMapKeywords measures the whole MAPKEYWORDS call (retrieval,
-// similarity, enumeration, ranking) under each QFG scoring path.
-func benchmarkMapKeywordsRanking(b *testing.B, disableSnapshot bool) {
-	m := benchMapper(b, disableSnapshot)
+// BenchmarkMapKeywordsRankingSnapshotQFG measures the whole MAPKEYWORDS
+// call (retrieval, similarity, enumeration, ranking).
+func BenchmarkMapKeywordsRankingSnapshotQFG(b *testing.B) {
+	m := benchMapper(b)
 	kws := []Keyword{
 		{Text: "papers", Meta: Metadata{Context: fragment.Select}},
 		{Text: "TMC", Meta: Metadata{Context: fragment.Where}},
@@ -81,7 +69,3 @@ func benchmarkMapKeywordsRanking(b *testing.B, disableSnapshot bool) {
 		}
 	}
 }
-
-func BenchmarkMapKeywordsRankingMapQFG(b *testing.B) { benchmarkMapKeywordsRanking(b, true) }
-
-func BenchmarkMapKeywordsRankingSnapshotQFG(b *testing.B) { benchmarkMapKeywordsRanking(b, false) }

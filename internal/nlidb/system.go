@@ -62,75 +62,35 @@ type Config struct {
 	// construction. Default 8.
 	TopConfigs int
 	// TopPaths bounds how many join paths are considered per
-	// configuration. Default 1 (systems take the best path).
+	// configuration. Default 3.
 	TopPaths int
 }
 
-// QFGParts is the QFG wiring shared by NewSystem and templar.New. With a
-// graph (and the snapshot ablation off) it compiles one immutable
-// interned-ID snapshot shared by both consumers — the keyword mapper ranks
-// configurations against it and, when logJoin is set, the join weight
-// function derives Dice from it at generator build time. On the
-// DisableSnapshot ablation (or with no graph) the mapper and weights read
-// the map-backed graph, and the returned snapshot is nil.
-func QFGParts(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts keyword.Options, logJoin bool) (*keyword.Mapper, *qfg.Snapshot, joinpath.WeightFunc) {
-	var w joinpath.WeightFunc
-	if graph != nil && !opts.DisableSnapshot {
-		snap := graph.Snapshot(nil)
-		if logJoin {
-			w = joinpath.LogWeights(snap)
-		}
-		return keyword.NewSnapshotMapper(database, model, snap, opts), snap, w
+// NewSystem assembles a named NLIDB. A non-nil cfg.QFG is compiled once
+// into the immutable interned-ID snapshot both consumers read: the keyword
+// mapper ranks configurations against it and, with cfg.LogJoin, the join
+// weights derive Dice from it at generator build time.
+func NewSystem(name string, database *db.Database, model *embedding.Model, cfg Config) *System {
+	var snap *qfg.Snapshot
+	if cfg.QFG != nil {
+		snap = cfg.QFG.Snapshot(nil)
 	}
-	if logJoin && graph != nil {
-		w = joinpath.LogWeights(graph)
-	}
-	return keyword.NewMapper(database, model, graph, opts), nil, w
+	return NewSystemFromSnapshot(name, database, model, snap, cfg)
 }
 
 // NewSystemFromSnapshot assembles a named NLIDB over a precompiled QFG
-// snapshot — e.g. one loaded from a packed internal/store archive — instead
-// of a builder graph: the mapper ranks against the snapshot, and with
-// cfg.LogJoin the join weights derive from it at generator build time.
-// cfg.QFG is ignored; cfg.JoinWeights still overrides the weight function.
+// snapshot — compiled by NewSystem, or loaded from a packed internal/store
+// archive: the mapper ranks against the snapshot, and with cfg.LogJoin the
+// join weights derive from it at generator build time. cfg.QFG is ignored;
+// cfg.JoinWeights still overrides the weight function. A nil snapshot
+// builds the log-free baseline.
 func NewSystemFromSnapshot(name string, database *db.Database, model *embedding.Model, snap *qfg.Snapshot, cfg Config) *System {
-	if snap == nil {
-		cfg.QFG = nil
-		return NewSystem(name, database, model, cfg)
-	}
 	mapper := keyword.NewSnapshotMapper(database, model, snap, cfg.Keyword)
 	w := cfg.JoinWeights
-	if w == nil && cfg.LogJoin {
+	if w == nil && cfg.LogJoin && snap != nil {
 		w = joinpath.LogWeights(snap)
 	}
 	return NewFromParts(name, mapper, joinpath.NewGenerator(database.Schema(), w), cfg)
-}
-
-// NewSystem assembles a named NLIDB over the shared QFGParts wiring.
-func NewSystem(name string, database *db.Database, model *embedding.Model, cfg Config) *System {
-	mapper, _, derived := QFGParts(database, model, cfg.QFG, cfg.Keyword, cfg.LogJoin)
-	w := cfg.JoinWeights
-	if w == nil {
-		w = derived
-	}
-	if cfg.TopConfigs <= 0 {
-		cfg.TopConfigs = 8
-	}
-	if cfg.TopPaths <= 0 {
-		// Consider a few alternative join paths per configuration so
-		// equal-weight alternatives surface as ties: under uniform weights
-		// an equal-length rival path yields the same ranking score with
-		// different SQL, which the evaluation counts as incorrect.
-		cfg.TopPaths = 3
-	}
-	return &System{
-		name:       name,
-		mapper:     mapper,
-		joins:      joinpath.NewGenerator(database.Schema(), w),
-		noise:      cfg.Noise,
-		topConfigs: cfg.TopConfigs,
-		topPaths:   cfg.TopPaths,
-	}
 }
 
 // NewFromParts assembles a System around a prebuilt mapper and join-path
@@ -143,6 +103,10 @@ func NewFromParts(name string, mapper *keyword.Mapper, joins *joinpath.Generator
 		cfg.TopConfigs = 8
 	}
 	if cfg.TopPaths <= 0 {
+		// Consider a few alternative join paths per configuration so
+		// equal-weight alternatives surface as ties: under uniform weights
+		// an equal-length rival path yields the same ranking score with
+		// different SQL, which the evaluation counts as incorrect.
 		cfg.TopPaths = 3
 	}
 	return &System{

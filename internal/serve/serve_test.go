@@ -9,14 +9,17 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"templar/internal/datasets"
 	"templar/internal/embedding"
 	"templar/internal/fragment"
 	"templar/internal/keyword"
+	"templar/internal/nlidb"
 	"templar/internal/qfg"
 	"templar/internal/sqlparse"
+	"templar/internal/store"
 	"templar/internal/templar"
 	"templar/pkg/api"
 )
@@ -467,35 +470,138 @@ func TestCanceledRequestContext(t *testing.T) {
 	}
 }
 
-// TestSnapshotMapperMatchesMapPath is the consumer-level parity gate for
-// the interned-fragment snapshot: for every benchmark task of every
-// dataset, configurations and translations ranked against the compiled
-// snapshot must equal the map-backed QFG path exactly.
-func TestSnapshotMapperMatchesMapPath(t *testing.T) {
+// TestConstructionPathsAgree is the differential gate over the ways a
+// serving engine is built from one query log: compiled from the graph
+// (templar.New), cold-started from a store archive (NewFromSnapshot),
+// live over the graph (NewLive on qfg.NewLive), live over the archive
+// (NewLive on qfg.NewLiveFromSnapshot), and the evaluation's Pipeline+
+// system (nlidb.NewPipelinePlus). For every task of every dataset their
+// configurations and translations must be identical.
+func TestConstructionPathsAgree(t *testing.T) {
 	for _, ds := range datasets.All() {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
-			snapshot := buildSystem(t, ds, keyword.Options{})
-			mapped := buildSystem(t, ds, keyword.Options{DisableSnapshot: true})
+			graph := buildGraph(t, ds)
+			ar, err := store.Decode(store.Encode(ds.Name, graph.Snapshot(nil)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := templar.Options{LogJoin: true}
+			systems := []struct {
+				name string
+				sys  *templar.System
+			}{
+				{"archive", templar.NewFromSnapshot(ds.DB, embedding.New(), ar.Snapshot, opts)},
+				{"live", templar.NewLive(ds.DB, embedding.New(), qfg.NewLive(graph), opts)},
+				{"live-archive", templar.NewLive(ds.DB, embedding.New(), qfg.NewLiveFromSnapshot(ar.Snapshot), opts)},
+			}
+			ref := templar.New(ds.DB, embedding.New(), graph, opts)
+			plus := nlidb.NewPipelinePlus(ds.DB, embedding.New(), graph, true, keyword.Options{})
+			ctx := context.Background()
+			translated := 0
 			for _, task := range ds.Tasks {
-				gotCfg, gotErr := snapshot.MapKeywords(context.Background(), task.Keywords, nil)
-				wantCfg, wantErr := mapped.MapKeywords(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error mismatch: snapshot=%v map=%v", task.ID, gotErr, wantErr)
+				wantCfg, wantErr := ref.MapKeywords(ctx, task.Keywords, nil)
+				wantTr, wantTrErr := ref.Translate(ctx, task.Keywords, nil)
+				if wantTrErr == nil {
+					translated++
 				}
-				if !reflect.DeepEqual(gotCfg, wantCfg) {
-					t.Fatalf("%s: configurations diverged\nsnapshot: %v\nmap:      %v", task.ID, gotCfg, wantCfg)
+				for _, c := range systems {
+					gotCfg, gotErr := c.sys.MapKeywords(ctx, task.Keywords, nil)
+					if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotCfg, wantCfg) {
+						t.Fatalf("%s: %s configurations diverged from templar.New\ngot:  %v (%v)\nwant: %v (%v)",
+							task.ID, c.name, gotCfg, gotErr, wantCfg, wantErr)
+					}
+					gotTr, gotErr := c.sys.Translate(ctx, task.Keywords, nil)
+					if (gotErr == nil) != (wantTrErr == nil) || !reflect.DeepEqual(gotTr, wantTr) {
+						t.Fatalf("%s: %s translation diverged from templar.New\ngot:  %+v (%v)\nwant: %+v (%v)",
+							task.ID, c.name, gotTr, gotErr, wantTr, wantTrErr)
+					}
 				}
-				gotTr, gotErr := snapshot.Translate(context.Background(), task.Keywords, nil)
-				wantTr, wantErr := mapped.Translate(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: translate error mismatch: snapshot=%v map=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotTr, wantTr) {
-					t.Fatalf("%s: translations diverged\nsnapshot: %+v\nmap:      %+v", task.ID, gotTr, wantTr)
+				gotTr, gotErr := plus.Translate("", false, task.Keywords)
+				if (gotErr == nil) != (wantTrErr == nil) || !reflect.DeepEqual(gotTr, wantTr) {
+					t.Fatalf("%s: Pipeline+ translation diverged from templar.New\ngot:  %+v (%v)\nwant: %+v (%v)",
+						task.ID, gotTr, gotErr, wantTr, wantTrErr)
 				}
 			}
+			if translated == 0 {
+				t.Fatal("no successful translations compared")
+			}
 		})
+	}
+}
+
+// appendingCtx appends a query to a live log every time the pipeline polls
+// it for cancellation, so the log state moves while a request runs.
+type appendingCtx struct {
+	context.Context
+	live    *qfg.Live
+	q       *sqlparse.Query
+	appends atomic.Int32
+}
+
+func (c *appendingCtx) Err() error {
+	if c.appends.Add(1) <= 64 {
+		c.live.AddQuery(c.q, 1)
+	}
+	return nil
+}
+
+// TestTranslateBatchServesOneEngine pins that every item of a translate
+// batch runs on one engine. The log grows while the batch runs (each
+// cancellation poll appends a query), so an item that resolved the engine
+// for itself would answer from a later log state than the items before it.
+// All items translate the same keywords and must return identical results.
+func TestTranslateBatchServesOneEngine(t *testing.T) {
+	ds := datasets.MAS()
+	live := qfg.NewLive(buildGraph(t, ds))
+	sys := templar.NewLive(ds.DB, embedding.New(), live, templar.Options{LogJoin: true})
+	srv := NewServer(sys, ds.Name, 1) // one worker: items run in order
+	q, err := sqlparse.Parse(ds.Tasks[0].Gold)
+	if err == nil {
+		err = q.Resolve(nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := api.KeywordsInput{Spec: "papers:select;Databases:where"}
+	kws, err := keyword.ParseSpec(spec.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The appended query must move the answer, or a mixed batch would go
+	// unnoticed.
+	before, err := sys.Translate(context.Background(), kws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.AddQuery(q, 1)
+	after, err := sys.Translate(context.Background(), kws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(before, after) {
+		t.Fatal("appending the query does not change the translation")
+	}
+
+	req := api.TranslateRequest{Queries: []api.KeywordsInput{spec, spec, spec, spec}}
+	ctx := &appendingCtx{Context: context.Background(), live: live, q: q}
+	resp, apiErr := srv.coreTranslate(ctx, sys, req)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if ctx.appends.Load() < 2 {
+		t.Fatalf("only %d appends during the batch", ctx.appends.Load())
+	}
+	for i, r := range resp.Results {
+		if r.Error != nil {
+			t.Fatalf("item %d: %v", i, r.Error)
+		}
+		if !reflect.DeepEqual(r, resp.Results[0]) {
+			first, _ := json.Marshal(resp.Results[0])
+			got, _ := json.Marshal(r)
+			t.Fatalf("item %d answered from a different log state than item 0:\nitem 0: %s\nitem %d: %s", i, first, i, got)
+		}
 	}
 }
 
@@ -522,37 +628,5 @@ func BenchmarkTranslateEndToEnd(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-	}
-}
-
-// TestIndexedMapperMatchesSeedPath verifies the hot-path refactor changes
-// nothing observable: for every benchmark task of every dataset, the
-// indexed/cached mapper must return exactly the configurations (and the
-// translator exactly the translation) of the seed per-call scan path.
-func TestIndexedMapperMatchesSeedPath(t *testing.T) {
-	for _, ds := range datasets.All() {
-		ds := ds
-		t.Run(ds.Name, func(t *testing.T) {
-			indexed := buildSystem(t, ds, keyword.Options{})
-			seed := buildSystem(t, ds, keyword.Options{DisableIndex: true})
-			for _, task := range ds.Tasks {
-				gotCfg, gotErr := indexed.MapKeywords(context.Background(), task.Keywords, nil)
-				wantCfg, wantErr := seed.MapKeywords(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error mismatch: indexed=%v seed=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotCfg, wantCfg) {
-					t.Fatalf("%s: configurations diverged\nindexed: %v\nseed:    %v", task.ID, gotCfg, wantCfg)
-				}
-				gotTr, gotErr := indexed.Translate(context.Background(), task.Keywords, nil)
-				wantTr, wantErr := seed.Translate(context.Background(), task.Keywords, nil)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: translate error mismatch: indexed=%v seed=%v", task.ID, gotErr, wantErr)
-				}
-				if !reflect.DeepEqual(gotTr, wantTr) {
-					t.Fatalf("%s: translations diverged\nindexed: %+v\nseed:    %+v", task.ID, gotTr, wantTr)
-				}
-			}
-		})
 	}
 }

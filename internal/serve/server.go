@@ -322,6 +322,10 @@ func (s *Server) coreTranslate(ctx context.Context, sys *templar.System, req api
 		return nil, apiErr
 	}
 	results := make([]api.TranslateResult, len(req.Queries))
+	// Resolve the engine once, before the fan-out: every item of the batch
+	// then runs on one log state, even when a live append republishes (or
+	// another request is rebuilding the engine) mid-batch.
+	eng := sys.Engine()
 	// The request context rides into the pool: once the client disconnects,
 	// queued batch items stop claiming workers and running items abort
 	// inside the engine.
@@ -340,7 +344,7 @@ func (s *Server) coreTranslate(ctx context.Context, sys *templar.System, req api
 			results[i] = api.TranslateResult{Error: apiErr}
 			return
 		}
-		tr, err := sys.Translate(ctx, kws, opts)
+		tr, err := eng.Translate(ctx, kws, opts)
 		if err != nil {
 			if !isCanceled(err) {
 				results[i] = api.TranslateResult{Error: engineError(err)}

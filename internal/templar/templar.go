@@ -45,13 +45,15 @@ type Options struct {
 	LogJoin bool
 }
 
-// engine is one immutable compiled view the System serves from: the QFG
+// Engine is one immutable compiled view a System serves from: the QFG
 // snapshot it was derived from, the join generator whose edge weights were
 // baked from that snapshot, and the translator over a mapper pinned to
 // that same snapshot. Engines are swapped whole behind an atomic pointer,
 // so a Translate call scores configurations and weighs join edges against
-// one mutually consistent log state.
-type engine struct {
+// one mutually consistent log state. A caller that answers several
+// queries as one unit (a batch request) resolves System.Engine once and
+// runs every query on it, so the whole unit sees one log state too.
+type Engine struct {
 	snap       *qfg.Snapshot // nil when the system has no QFG
 	joins      *joinpath.Generator
 	translator *nlidb.System
@@ -77,30 +79,20 @@ type System struct {
 	// cur is the engine serving requests; rebuildMu serializes the
 	// copy-on-write rebuild after a live republish (readers that lose the
 	// TryLock race serve the previous engine instead of blocking).
-	cur       atomic.Pointer[engine]
+	cur       atomic.Pointer[Engine]
 	rebuildMu sync.Mutex
 }
 
-// New builds a Templar instance over a frozen query log. graph may be nil,
-// which degrades both calls to their log-free baselines (useful for
-// ablations). The graph is compiled once into an immutable snapshot unless
-// Options.Keyword.DisableSnapshot selects the map-backed scoring path.
+// New builds a Templar instance over a frozen query log: graph is
+// compiled once into an immutable snapshot and served through
+// NewFromSnapshot. graph may be nil, which degrades both calls to their
+// log-free baselines (useful for ablations).
 func New(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts Options) *System {
-	s := &System{database: database, model: model, opts: opts}
-	mapper, snap, w := nlidb.QFGParts(database, model, graph, opts.Keyword, opts.LogJoin)
-	s.mapper = mapper
-	if snap != nil {
-		s.cur.Store(s.buildEngine(snap))
-		return s
+	var snap *qfg.Snapshot
+	if graph != nil {
+		snap = graph.Snapshot(nil)
 	}
-	// Map-backed ablation path (or no QFG at all): the engine carries no
-	// snapshot; weights, if any, read the graph directly.
-	joins := joinpath.NewGenerator(database.Schema(), w)
-	s.cur.Store(&engine{
-		joins:      joins,
-		translator: nlidb.NewFromParts("Templar", s.mapper, joins, nlidb.Config{}),
-	})
-	return s
+	return NewFromSnapshot(database, model, snap, opts)
 }
 
 // NewFromSnapshot builds a Templar instance directly over a precompiled,
@@ -109,12 +101,8 @@ func New(database *db.Database, model *embedding.Model, graph *qfg.Graph, opts O
 // the loaded arrays as-is. Log appends are disabled (Live() == nil); a
 // serving layer that wants to keep appending wraps the archive with
 // qfg.NewLiveFromSnapshot and uses NewLive instead. Passing a nil snapshot
-// degrades to the log-free baseline, as in New.
+// builds the log-free baseline.
 func NewFromSnapshot(database *db.Database, model *embedding.Model, snap *qfg.Snapshot, opts Options) *System {
-	if snap == nil {
-		return New(database, model, nil, opts)
-	}
-	opts.Keyword.DisableSnapshot = false
 	s := &System{database: database, model: model, opts: opts}
 	s.mapper = keyword.NewSnapshotMapper(database, model, snap, opts.Keyword)
 	s.cur.Store(s.buildEngine(snap))
@@ -125,10 +113,7 @@ func NewFromSnapshot(database *db.Database, model *embedding.Model, snap *qfg.Sn
 // mapper ranks against whatever snapshot the Live graph currently
 // publishes, and the join generator (whose log-driven weights are baked at
 // build time) is rebuilt copy-on-write whenever a republish is observed.
-// Options.Keyword.DisableSnapshot is ignored — live serving is always
-// snapshot-based.
 func NewLive(database *db.Database, model *embedding.Model, live *qfg.Live, opts Options) *System {
-	opts.Keyword.DisableSnapshot = false
 	s := &System{database: database, model: model, opts: opts, live: live}
 	s.mapper = keyword.NewSnapshotMapper(database, model, live, opts.Keyword)
 	s.cur.Store(s.buildEngine(live.CurrentSnapshot()))
@@ -139,8 +124,8 @@ func NewLive(database *db.Database, model *embedding.Model, live *qfg.Live, opts
 // mapper is pinned to the engine's snapshot (sharing the candidate index
 // and similarity cache with the System's base mapper), so one Translate
 // call never mixes configuration scores from a newer republish with join
-// weights from an older one.
-func (s *System) buildEngine(snap *qfg.Snapshot) *engine {
+// weights from an older one. A nil snapshot is the log-free baseline.
+func (s *System) buildEngine(snap *qfg.Snapshot) *Engine {
 	var w joinpath.WeightFunc
 	if s.opts.LogJoin && snap != nil {
 		w = joinpath.LogWeights(snap)
@@ -150,18 +135,18 @@ func (s *System) buildEngine(snap *qfg.Snapshot) *engine {
 	if snap != nil {
 		mapper = mapper.WithSource(snap)
 	}
-	return &engine{
+	return &Engine{
 		snap:       snap,
 		joins:      joins,
 		translator: nlidb.NewFromParts("Templar", mapper, joins, nlidb.Config{}),
 	}
 }
 
-// engine returns the current serving engine, rebuilding it first when the
+// Engine returns the current serving engine, rebuilding it first when the
 // live graph has republished a newer snapshot. Readers never block: if
 // another goroutine already holds the rebuild lock, the previous engine —
 // a complete, consistent view of an older log state — serves the request.
-func (s *System) engine() *engine {
+func (s *System) Engine() *Engine {
 	e := s.cur.Load()
 	if s.live == nil {
 		return e
@@ -186,14 +171,15 @@ func (s *System) engine() *engine {
 // Database returns the bound database.
 func (s *System) Database() *db.Database { return s.database }
 
-// Mapper returns the shared keyword mapper (index- and cache-backed unless
-// disabled via Options.Keyword.DisableIndex).
+// Mapper returns the shared keyword mapper: index- and cache-backed, and
+// ranking against the live log's latest snapshot, the frozen snapshot, or
+// no log at all (the baseline).
 func (s *System) Mapper() *keyword.Mapper { return s.mapper }
 
 // Joins returns the current join path generator. With a live log the
 // returned generator is a point-in-time view; prefer InferJoins, which
 // picks up republished weights per call.
-func (s *System) Joins() *joinpath.Generator { return s.engine().joins }
+func (s *System) Joins() *joinpath.Generator { return s.Engine().joins }
 
 // Live returns the live query log behind the system, or nil when the log
 // is frozen. Serving layers append user queries through it.
@@ -201,7 +187,7 @@ func (s *System) Live() *qfg.Live { return s.live }
 
 // Snapshot returns the QFG snapshot the current engine serves from (nil
 // for a log-free baseline), for diagnostics endpoints.
-func (s *System) Snapshot() *qfg.Snapshot { return s.engine().snap }
+func (s *System) Snapshot() *qfg.Snapshot { return s.Engine().snap }
 
 // CallOptions are per-request knobs for the query surface. A nil
 // *CallOptions means "engine defaults" everywhere; the zero value of any
@@ -277,14 +263,21 @@ func (s *System) InferJoins(ctx context.Context, relationBag []string, opts *Cal
 	if opts != nil && opts.TopK > 0 {
 		topK = opts.TopK
 	}
-	return s.engine().joins.InferCtx(ctx, relationBag, topK)
+	return s.Engine().joins.InferCtx(ctx, relationBag, topK)
 }
 
 // Translate runs the full NLQ→SQL pipeline over the shared mapper and join
 // generator: MAPKEYWORDS → INFERJOINS per configuration → SQL construction
 // → ranking. It is the one-call front the serving layer exposes; NLIDBs
 // that own their own SQL construction keep using MapKeywords + InferJoins.
-// ctx cancellation aborts enumeration and path search mid-pipeline.
+// ctx cancellation aborts enumeration and path search mid-pipeline. Each
+// call resolves the current engine; see Engine.Translate to run several
+// queries against one.
 func (s *System) Translate(ctx context.Context, kws []keyword.Keyword, opts *CallOptions) (*nlidb.Translation, error) {
-	return s.engine().translator.TranslateCtx(ctx, "", false, kws, opts.nlidbOpts())
+	return s.Engine().Translate(ctx, kws, opts)
+}
+
+// Translate is System.Translate against this engine's log state.
+func (e *Engine) Translate(ctx context.Context, kws []keyword.Keyword, opts *CallOptions) (*nlidb.Translation, error) {
+	return e.translator.TranslateCtx(ctx, "", false, kws, opts.nlidbOpts())
 }
