@@ -9,10 +9,14 @@
 //	{
 //	  "goos": "linux", "goarch": "amd64", "cpu": "...",
 //	  "benchmarks": [
-//	    {"package": "templar/internal/qfg", "name": "BenchmarkDiceSnapshotID-8",
+//	    {"package": "templar/internal/qfg", "name": "BenchmarkDiceSnapshotID",
 //	     "runs": 100000, "metrics": {"ns/op": 6.3, "B/op": 0, "allocs/op": 0}}
 //	  ]
 //	}
+//
+// Names drop the "-N" GOMAXPROCS suffix `go test` appends on multi-core
+// runs, so reports from machines with different core counts share
+// benchmark names (cmd/benchdiff matches on them).
 package main
 
 import (
@@ -73,7 +77,8 @@ func main() {
 }
 
 // parseBenchLine parses "BenchmarkName-8  100  12.3 ns/op  0 B/op ...":
-// a name, an iteration count, then (value, unit) pairs.
+// a name, an iteration count, then (value, unit) pairs. The name is
+// recorded without its "-8" GOMAXPROCS suffix.
 func parseBenchLine(line, pkg string) (benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
@@ -83,7 +88,7 @@ func parseBenchLine(line, pkg string) (benchmark, bool) {
 	if err != nil {
 		return benchmark{}, false
 	}
-	b := benchmark{Package: pkg, Name: fields[0], Runs: runs, Metrics: map[string]float64{}}
+	b := benchmark{Package: pkg, Name: stripProcs(fields[0]), Runs: runs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -92,4 +97,16 @@ func parseBenchLine(line, pkg string) (benchmark, bool) {
 		b.Metrics[fields[i+1]] = v
 	}
 	return b, true
+}
+
+// stripProcs removes a trailing "-N" (all digits) from a benchmark name.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }

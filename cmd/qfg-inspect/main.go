@@ -256,7 +256,7 @@ func runUnpack(args []string) {
 	frags := snap.Interner().Fragments()
 	if *top > 0 {
 		// The occurrence counts are already flat in the snapshot: sort IDs
-		// by nv instead of rehydrating the whole builder graph.
+		// by nv instead of rebuilding a map-backed graph.
 		ids := make([]int, len(frags))
 		for i := range ids {
 			ids[i] = i

@@ -323,7 +323,7 @@ func main() {
 // re-mining the gold-SQL log otherwise — in which case the freshly built
 // snapshot is packed back into the store so the next boot is fast. The
 // engine always serves a live log; appends keep working either way because
-// a store-loaded snapshot is rehydrated into a builder graph. With a WAL
+// they fold straight into a store-loaded snapshot. With a WAL
 // directory, the tenant's write-ahead log is attached last: any records
 // past the snapshot's recorded sequence are replayed, so the engine comes
 // up byte-identical to one that never crashed. ctx honors the Loader

@@ -95,7 +95,7 @@ func main() {
 }
 
 // boot assembles a durable tenant the way templar-serve -store -wal does:
-// load the packed snapshot, rehydrate a live engine, attach the WAL (which
+// load the packed snapshot, wrap it in a live engine, attach the WAL (which
 // replays any tail past the snapshot's recorded sequence).
 func boot(ds *datasets.Dataset, storeDir, walDir string) (*httptest.Server, *serve.Tenant) {
 	ar, err := store.ReadFile(filepath.Join(storeDir, store.Filename(ds.Name)))

@@ -47,8 +47,8 @@ func main() {
 	}
 
 	// 2. Serve from the store: each engine cold-starts from one file read.
-	// NewLiveFromSnapshot rehydrates a builder graph behind the loaded
-	// snapshot, so live log appends keep working after a store boot.
+	// NewLiveFromSnapshot serves the loaded snapshot as it is, and live
+	// log appends fold into it, so they keep working after a store boot.
 	reg := serve.NewRegistry()
 	for _, ds := range []*datasets.Dataset{datasets.MAS(), datasets.Yelp()} {
 		start := time.Now()

@@ -267,7 +267,7 @@ func runCounterfactualLevel(ds *datasets.Dataset, ob fragment.Obscurity, opts Co
 		if err := q.Resolve(nil); err != nil {
 			return level, fmt.Errorf("%s: %w", task.ID, err)
 		}
-		live.AddQuery(q, weight)
+		live.AddQueries([]*sqlparse.Query{q}, []int{weight})
 		if accepted {
 			level.Accepted++
 		} else {

@@ -4,98 +4,77 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"templar/internal/fragment"
 	"templar/internal/sqlparse"
 )
 
-// Live couples a mutable builder Graph with an atomically published
-// Snapshot: readers load the current snapshot with one atomic pointer read
-// and never block, while log appends mutate the builder and republish a
-// freshly compiled snapshot (copy-on-write). All snapshots share one
-// interning table, so fragment IDs stay stable across republishes.
+// Live is an atomically published Snapshot that accepts log appends:
+// readers load the current snapshot with one atomic pointer read and never
+// block, while an append folds a small delta graph — only the appended
+// queries and sessions — into the current snapshot and publishes the result
+// (copy-on-write). Every snapshot shares one interning table, so fragment
+// IDs stay stable across republishes.
 //
-// Appends recompile the full snapshot, so they cost O(V + E); they are
-// expected to be rare relative to reads (a serving layer folding user
+// A fold copies the untouched CSR rows and merges the touched ones, so an
+// append costs one O(V + E) array copy plus the delta's own work; appends
+// are expected to be rare relative to reads (a serving layer folding user
 // queries back into its log). Concurrent appends serialize on an internal
 // mutex.
 type Live struct {
-	mu       sync.Mutex // serializes builder mutations + republish
-	builder  *Graph
-	interner *fragment.Interner
-	snap     atomic.Pointer[Snapshot]
+	mu   sync.Mutex // serializes appends: load, fold, publish
+	snap atomic.Pointer[Snapshot]
 }
 
-// NewLive wraps a builder graph and publishes its first snapshot. The
-// builder must not be mutated directly afterwards — append through Live.
+// NewLive compiles the graph and publishes it as the first snapshot, with a
+// fresh interning table. The Live keeps no reference to g.
 func NewLive(g *Graph) *Live {
-	l := &Live{builder: g, interner: fragment.NewInterner()}
-	l.snap.Store(g.Snapshot(l.interner))
+	return NewLiveFromSnapshot(g.Snapshot(nil))
+}
+
+// NewLiveFromSnapshot builds a Live log around a loaded snapshot: the
+// snapshot itself is the first publication (so readers start from exactly
+// the stored state, bit for bit), and its interner keeps assigning IDs —
+// fragments already in the store keep their IDs across every subsequent
+// republish.
+func NewLiveFromSnapshot(s *Snapshot) *Live {
+	l := &Live{}
+	l.snap.Store(s)
 	return l
 }
 
 // CurrentSnapshot returns the latest published snapshot (lock-free).
 func (l *Live) CurrentSnapshot() *Snapshot { return l.snap.Load() }
 
-// Obscurity returns the builder graph's obscurity level.
-func (l *Live) Obscurity() fragment.Obscurity { return l.builder.Obscurity() }
-
-// AddQuery folds one alias-resolved query into the log and republishes.
-func (l *Live) AddQuery(q *sqlparse.Query, count int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.builder.AddQuery(q, count)
-	l.snap.Store(l.builder.Snapshot(l.interner))
-}
-
 // AddQueries folds a batch of alias-resolved queries into the log and
-// republishes once: readers see either none or all of the batch, and the
-// O(V + E) snapshot compile is paid per batch, not per query. counts[i] is
-// the multiplicity of queries[i]; a nil counts applies 1 to every query.
+// republishes once: readers see either none or all of the batch. counts[i]
+// is the multiplicity of queries[i]; a nil counts applies 1 to every query.
 func (l *Live) AddQueries(queries []*sqlparse.Query, counts []int) {
 	if counts != nil && len(counts) != len(queries) {
-		// Fail before touching the builder: a partial batch must never be
+		// Fail before touching the log: a partial batch must never be
 		// half-applied.
 		panic("qfg: AddQueries counts length does not match queries")
 	}
 	if len(queries) == 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, q := range queries {
-		count := 1
-		if counts != nil {
-			count = counts[i]
-		}
-		l.builder.AddQuery(q, count)
-	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
+	// A query batch cannot fail to fold.
+	_ = l.Replay([]ReplayOp{{Queries: queries, Counts: counts}})
 }
 
 // AddSession folds an ordered session of alias-resolved queries into the
 // log (see Graph.AddSession) and republishes.
 func (l *Live) AddSession(queries []*sqlparse.Query, count int, decay float64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.builder.AddSession(queries, count, decay); err != nil {
-		return err
-	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
-	return nil
+	return l.Replay([]ReplayOp{{Session: true, Queries: queries, Count: count, Decay: decay}})
 }
 
 // Reset replaces the live state in place with the given snapshot, exactly
-// as NewLiveFromSnapshot would build it: the builder is rehydrated from the
-// snapshot and the snapshot's interning table (with its pinned fragment
-// IDs) becomes the live one. Readers holding the Live see the new state on
-// their next CurrentSnapshot load — the re-bootstrap path a replication
-// follower takes when its applied position has been compacted away on the
-// primary.
+// as NewLiveFromSnapshot would build it: the snapshot's interning table
+// (with its pinned fragment IDs) becomes the live one. Readers holding the
+// Live see the new state on their next CurrentSnapshot load — the
+// re-bootstrap path a replication follower takes when its applied position
+// has been compacted away on the primary.
 func (l *Live) Reset(s *Snapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.builder = RehydrateGraph(s)
-	l.interner = s.interner
 	l.snap.Store(s)
 }
 
@@ -116,16 +95,20 @@ type ReplayOp struct {
 // AddSession would serve. Identity holds because each operation's new
 // fragments are interned in sorted order before the next operation's — the
 // exact ID assignment the per-operation republishes would have made — and
-// edge weights accumulate in the same record order; only the O(V + E)
-// compile is deferred to the end. An error mid-replay (a corrupt operation
-// that validation upstream should have rejected) leaves the snapshot
-// unpublished and the Live unusable.
+// session weights accumulate from the published weights in the same record
+// order; only the fold is deferred to the end. An error mid-replay (a
+// corrupt operation that validation upstream should have rejected)
+// publishes nothing, but earlier operations' fragments may already hold
+// IDs, so the Live no longer assigns IDs like its peers.
 func (l *Live) Replay(ops []ReplayOp) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	base := l.snap.Load()
+	d := New(base.obscurity)
+	d.seed = base
 	for _, op := range ops {
 		if op.Session {
-			if err := l.builder.AddSession(op.Queries, op.Count, op.Decay); err != nil {
+			if err := d.AddSession(op.Queries, op.Count, op.Decay); err != nil {
 				return err
 			}
 		} else {
@@ -134,11 +117,11 @@ func (l *Live) Replay(ops []ReplayOp) error {
 				if op.Counts != nil {
 					count = op.Counts[i]
 				}
-				l.builder.AddQuery(q, count)
+				d.AddQuery(q, count)
 			}
 		}
-		l.builder.internFragments(l.interner)
+		d.internFragments(base.interner)
 	}
-	l.snap.Store(l.builder.Snapshot(l.interner))
+	l.snap.Store(base.fold(d))
 	return nil
 }

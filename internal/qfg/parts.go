@@ -106,55 +106,5 @@ func NewSnapshotFromParts(in *fragment.Interner, p SnapshotParts) (*Snapshot, er
 		colID:     p.ColID,
 		co:        p.Co,
 		neCount:   p.NECount,
-		edges:     half / 2,
 	}, nil
-}
-
-// RehydrateGraph reconstructs a builder Graph from a compiled snapshot: nv
-// and ne come back as fragment-keyed maps, and any session evidence blended
-// into the snapshot's co-occurrence weights is recovered as the fractional
-// remainder over the integer ne. The result folds new queries exactly like
-// the graph the snapshot was compiled from, so a store-loaded dataset can
-// keep accepting live log appends.
-func RehydrateGraph(s *Snapshot) *Graph {
-	g := New(s.obscurity)
-	g.queries = s.queries
-	in := s.interner
-	frags := make([]fragment.Fragment, len(s.nv))
-	for id := range s.nv {
-		frags[id] = in.Fragment(uint32(id))
-		if s.nv[id] > 0 {
-			g.nv[frags[id]] = s.nv[id]
-		}
-	}
-	for a := 0; a < len(s.nv); a++ {
-		for i := s.rowStart[a]; i < s.rowStart[a+1]; i++ {
-			b := s.colID[i]
-			if uint32(a) >= b {
-				continue // each undirected edge is stored twice; keep a < b
-			}
-			pk := makePair(frags[a], frags[b])
-			if ne := s.neCount[i]; ne > 0 {
-				g.ne[pk] = ne
-			}
-			if sess := s.co[i] - float64(s.neCount[i]); sess > 0 {
-				if g.sessNe == nil {
-					g.sessNe = make(map[pairKey]float64)
-				}
-				g.sessNe[pk] = sess
-			}
-		}
-	}
-	return g
-}
-
-// NewLiveFromSnapshot builds a Live log around a loaded snapshot: the
-// snapshot itself is the first publication (so readers start from exactly
-// the stored state, bit for bit), the builder graph is rehydrated from it,
-// and the snapshot's interner keeps assigning IDs — fragments already in
-// the store keep their IDs across every subsequent republish.
-func NewLiveFromSnapshot(s *Snapshot) *Live {
-	l := &Live{builder: RehydrateGraph(s), interner: s.interner}
-	l.snap.Store(s)
-	return l
 }

@@ -120,31 +120,6 @@ func TestNewSnapshotFromPartsValidation(t *testing.T) {
 	})
 }
 
-// TestRehydrateGraph rebuilds a mutable graph from a compiled snapshot and
-// re-snapshots it against the same interner: every array must come back bit
-// for bit, and the rehydrated graph must agree with the original on the
-// map-backed accessors too.
-func TestRehydrateGraph(t *testing.T) {
-	g := partsGraph(t)
-	snap := g.Snapshot(nil)
-	re := RehydrateGraph(snap)
-	if re.Queries() != g.Queries() || re.Vertices() != g.Vertices() || re.Edges() != g.Edges() || re.SessionEdges() != g.SessionEdges() {
-		t.Fatalf("rehydrated stats %d/%d/%d/%d, want %d/%d/%d/%d",
-			re.Queries(), re.Vertices(), re.Edges(), re.SessionEdges(),
-			g.Queries(), g.Vertices(), g.Edges(), g.SessionEdges())
-	}
-	if !samePartsBits(re.Snapshot(snap.Interner()).Parts(), snap.Parts()) {
-		t.Fatal("re-snapshot of rehydrated graph diverged")
-	}
-	for _, a := range snap.Interner().Fragments() {
-		for _, b := range snap.Interner().Fragments() {
-			if got, want := re.Dice(a, b), g.Dice(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Dice(%v, %v) = %v, want %v", a, b, got, want)
-			}
-		}
-	}
-}
-
 // TestNewLiveFromSnapshot checks the store-loaded serving path: the first
 // publication is the loaded snapshot itself, appends keep working, and
 // fragment IDs stay stable across the republish.
@@ -161,7 +136,7 @@ func TestNewLiveFromSnapshot(t *testing.T) {
 	if err := q.Resolve(nil); err != nil {
 		t.Fatal(err)
 	}
-	live.AddQuery(q, 2)
+	live.AddQueries([]*sqlparse.Query{q}, []int{2})
 	after := live.CurrentSnapshot()
 	if after.Queries() != snap.Queries()+2 {
 		t.Fatalf("queries = %d, want %d", after.Queries(), snap.Queries()+2)

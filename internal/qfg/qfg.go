@@ -39,6 +39,10 @@ type Graph struct {
 	// sessNe holds decayed cross-query co-occurrence evidence from user
 	// sessions (see session.go); nil until AddSession is first called.
 	sessNe map[pairKey]float64
+	// seed, set only on a delta graph that Live folds into its published
+	// snapshot, supplies each session pair's starting weight: the pair's
+	// exact weight in seed, so sessNe ends up holding the folded totals.
+	seed *Snapshot
 }
 
 // New returns an empty QFG at the given obscurity level.

@@ -53,7 +53,12 @@ func (g *Graph) AddSession(queries []*sqlparse.Query, count int, decay float64) 
 					if fa == fb {
 						continue
 					}
-					g.sessNe[makePair(fa, fb)] += w * float64(count)
+					pk := makePair(fa, fb)
+					base, ok := g.sessNe[pk]
+					if !ok && g.seed != nil {
+						base = g.seed.sessionWeight(pk)
+					}
+					g.sessNe[pk] = base + w*float64(count)
 				}
 			}
 		}

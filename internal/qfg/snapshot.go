@@ -1,6 +1,8 @@
 package qfg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"templar/internal/fragment"
@@ -32,8 +34,10 @@ type Snapshot struct {
 	colID    []uint32
 	co       []float64
 	neCount  []int
-
-	edges int
+	// sess[i] is the exact session weight blended into co[i], carried once
+	// any folded pair has one; nil means co − float64(ne) recovers it (see
+	// sessAt).
+	sess []float64
 }
 
 // SnapshotSource yields the current snapshot of a possibly-evolving QFG.
@@ -46,14 +50,12 @@ type SnapshotSource interface {
 // SnapshotSource for consumers that never see log appends.
 func (s *Snapshot) CurrentSnapshot() *Snapshot { return s }
 
-// internFragments interns the graph's current fragment set into in, in
-// sorted order — exactly the ID assignment Snapshot performs — without
-// paying for a compile. Live.Replay uses it to reproduce, per replayed
-// record, the IDs an incremental republish after that record would have
-// assigned.
+// internFragments interns the graph's fragment set into in, in sorted
+// order, so a fresh interner assigns deterministic IDs regardless of map
+// iteration order. fold calls it once per delta; Live.Replay calls it per
+// replayed operation, reproducing the IDs a republish after each operation
+// would have assigned. The caller holds g.mu or owns g outright.
 func (g *Graph) internFragments(in *fragment.Interner) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	frags := make([]fragment.Fragment, 0, len(g.nv))
 	for f := range g.nv {
 		frags = append(frags, f)
@@ -64,115 +66,156 @@ func (g *Graph) internFragments(in *fragment.Interner) {
 	}
 }
 
-// Snapshot compiles an immutable snapshot of the graph's current state.
-// Fragments are interned into in; passing nil creates a fresh table. The
-// compile holds the graph's read lock, so it can run concurrently with
-// readers but serializes against AddQuery/AddSession.
+// Snapshot compiles an immutable snapshot of the graph's current state by
+// folding the whole graph into an empty snapshot. Fragments are interned
+// into in; passing nil creates a fresh table. The compile holds the graph's
+// read lock, so it can run concurrently with readers but serializes against
+// AddQuery/AddSession.
 func (g *Graph) Snapshot(in *fragment.Interner) *Snapshot {
 	if in == nil {
 		in = fragment.NewInterner()
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	return (&Snapshot{obscurity: g.obscurity, interner: in, rowStart: []uint32{0}}).fold(g)
+}
 
-	// Intern in sorted fragment order so a fresh interner assigns
-	// deterministic IDs regardless of map iteration order.
-	frags := make([]fragment.Fragment, 0, len(g.nv))
-	for f := range g.nv {
-		frags = append(frags, f)
+// sessAt returns the session weight on half-edge i: the exact weight a
+// fold carried, or, for a snapshot without one (store-loaded, or with no
+// session evidence at all), the remainder of co over the integer ne.
+func (s *Snapshot) sessAt(i int) float64 {
+	if s.sess != nil {
+		return s.sess[i]
 	}
-	sort.Slice(frags, func(i, j int) bool { return less(frags[i], frags[j]) })
-	for _, f := range frags {
-		in.Intern(f)
+	if w := s.co[i] - float64(s.neCount[i]); w > 0 {
+		return w
 	}
+	return 0
+}
 
-	s := &Snapshot{
-		obscurity: g.obscurity,
+// sessionWeight returns a fragment pair's session weight (sessAt), or 0
+// when the pair has no edge in s.
+func (s *Snapshot) sessionWeight(pk pairKey) float64 {
+	if i := s.edgeIndex(s.Lookup(pk.a), s.Lookup(pk.b)); i >= 0 {
+		return s.sessAt(i)
+	}
+	return 0
+}
+
+// fold returns the snapshot that results from folding the delta graph d
+// into s, which stays untouched. d's new fragments are interned into s's
+// table first (internFragments); d's nv, ne and query counts add to s's;
+// d's session weights replace s's on the pairs d touches, because a delta
+// graph seeded from s (Graph.seed) accumulates them from s's exact weights.
+// Rows d does not touch are copied as they are and touched rows are merged
+// with d's sorted half-edges, so a fold costs one copy of the arrays plus
+// O(δ log δ) in the delta's size δ.
+func (s *Snapshot) fold(d *Graph) *Snapshot {
+	in := s.interner
+	d.internFragments(in)
+	n := in.Len()
+	out := &Snapshot{
+		obscurity: s.obscurity,
 		interner:  in,
-		queries:   g.queries,
-		nv:        make([]int, in.Len()),
+		queries:   s.queries + d.queries,
+		nv:        make([]int, n),
 	}
-	for _, f := range frags {
-		s.nv[in.Lookup(f)] = g.nv[f]
+	copy(out.nv, s.nv)
+	for f, c := range d.nv {
+		out.nv[in.Lookup(f)] += c
 	}
 
-	// Union the within-query and session edge sets into per-ID half-edge
-	// counts, then lay the CSR arrays out row by row.
-	type edge struct {
-		a, b uint32
-		co   float64
-		ne   int
+	// Both half-edges of every pair d touches, with the pair's final ne and
+	// session weight, sorted by (row, col) for the merge below.
+	type halfEdge struct {
+		row, col uint32
+		ne       int
+		sess     float64
+		added    bool // the pair has no edge in s
 	}
-	edges := make([]edge, 0, len(g.ne)+len(g.sessNe))
-	seen := make(map[pairKey]bool, len(g.sessNe))
-	for pk, n := range g.ne {
-		e := edge{a: in.Lookup(pk.a), b: in.Lookup(pk.b), co: float64(n), ne: n}
-		if g.sessNe != nil {
-			if w, ok := g.sessNe[pk]; ok {
-				e.co = float64(n) + w
-				seen[pk] = true
+	touched := make([]halfEdge, 0, 2*(len(d.ne)+len(d.sessNe)))
+	withSess := s.sess != nil || len(d.sessNe) > 0
+	visit := func(pk pairKey) {
+		a, b := in.Lookup(pk.a), in.Lookup(pk.b)
+		e := halfEdge{row: a, col: b, added: true}
+		if i := s.edgeIndex(a, b); i >= 0 {
+			e.ne, e.sess, e.added = s.neCount[i], s.sessAt(i), false
+		}
+		e.ne += d.ne[pk]
+		if w, ok := d.sessNe[pk]; ok {
+			e.sess = w
+		}
+		// A touched pair's co changes, so its session weight can no longer
+		// be recovered from co: carry every pair's weight from here on.
+		withSess = withSess || e.sess != 0
+		touched = append(touched, e, halfEdge{b, a, e.ne, e.sess, e.added})
+	}
+	for pk := range d.ne {
+		visit(pk)
+	}
+	for pk := range d.sessNe {
+		if _, ok := d.ne[pk]; !ok {
+			visit(pk) // session-only pair: never co-occurs within one query
+		}
+	}
+	slices.SortFunc(touched, func(x, y halfEdge) int {
+		return cmp.Compare(uint64(x.row)<<32|uint64(x.col), uint64(y.row)<<32|uint64(y.col))
+	})
+
+	// Rows past s's last vertex are empty in s. Each row starts where it
+	// did in s, shifted by the half-edges added to the rows before it.
+	baseStart := func(r int) int { return int(s.rowStart[min(r, len(s.nv))]) }
+	out.rowStart = make([]uint32, n+1)
+	for _, e := range touched {
+		if e.added {
+			out.rowStart[e.row+1]++
+		}
+	}
+	var shift uint32
+	for r := range out.rowStart {
+		shift += out.rowStart[r]
+		out.rowStart[r] = uint32(baseStart(r)) + shift
+	}
+
+	half := int(out.rowStart[n])
+	out.colID = make([]uint32, half)
+	out.co = make([]float64, half)
+	out.neCount = make([]int, half)
+	if withSess {
+		out.sess = make([]float64, half)
+	}
+	// Merge: src walks s's half-edges and dst out's. Touched half-edges are
+	// sorted the way s lays its rows out, so untouched stretches between
+	// them are copied in one block each.
+	src, dst := 0, 0
+	copyTo := func(end int) {
+		copy(out.colID[dst:], s.colID[src:end])
+		copy(out.co[dst:], s.co[src:end])
+		copy(out.neCount[dst:], s.neCount[src:end])
+		if out.sess != nil {
+			for i := src; i < end; i++ {
+				out.sess[dst+i-src] = s.sessAt(i)
 			}
 		}
-		edges = append(edges, e)
+		dst += end - src
+		src = end
 	}
-	for pk, w := range g.sessNe {
-		if seen[pk] {
-			continue
+	for _, e := range touched {
+		lo, hi := baseStart(int(e.row)), baseStart(int(e.row)+1)
+		at, found := slices.BinarySearch(s.colID[lo:hi], e.col)
+		copyTo(lo + at)
+		if found {
+			src++ // the pair's old weights, replaced below
 		}
-		// Session-only pair: the fragments never co-occur within one query.
-		edges = append(edges, edge{a: in.Lookup(pk.a), b: in.Lookup(pk.b), co: w})
+		out.colID[dst], out.neCount[dst] = e.col, e.ne
+		out.co[dst] = float64(e.ne) + e.sess
+		if out.sess != nil {
+			out.sess[dst] = e.sess
+		}
+		dst++
 	}
-	s.edges = len(edges)
-
-	degree := make([]uint32, len(s.nv))
-	for _, e := range edges {
-		degree[e.a]++
-		degree[e.b]++
-	}
-	s.rowStart = make([]uint32, len(s.nv)+1)
-	for i, d := range degree {
-		s.rowStart[i+1] = s.rowStart[i] + d
-	}
-	half := int(s.rowStart[len(s.nv)])
-	s.colID = make([]uint32, half)
-	s.co = make([]float64, half)
-	s.neCount = make([]int, half)
-	next := make([]uint32, len(s.nv))
-	copy(next, s.rowStart[:len(s.nv)])
-	place := func(row, col uint32, co float64, ne int) {
-		i := next[row]
-		s.colID[i] = col
-		s.co[i] = co
-		s.neCount[i] = ne
-		next[row]++
-	}
-	for _, e := range edges {
-		place(e.a, e.b, e.co, e.ne)
-		place(e.b, e.a, e.co, e.ne)
-	}
-	for id := 0; id < len(s.nv); id++ {
-		lo, hi := s.rowStart[id], s.rowStart[id+1]
-		row := rowSorter{s, int(lo), int(hi)}
-		sort.Sort(row)
-	}
-	return s
-}
-
-// rowSorter sorts one CSR row's parallel arrays by neighbor ID.
-type rowSorter struct {
-	s      *Snapshot
-	lo, hi int
-}
-
-func (r rowSorter) Len() int { return r.hi - r.lo }
-func (r rowSorter) Less(i, j int) bool {
-	return r.s.colID[r.lo+i] < r.s.colID[r.lo+j]
-}
-func (r rowSorter) Swap(i, j int) {
-	i, j = r.lo+i, r.lo+j
-	r.s.colID[i], r.s.colID[j] = r.s.colID[j], r.s.colID[i]
-	r.s.co[i], r.s.co[j] = r.s.co[j], r.s.co[i]
-	r.s.neCount[i], r.s.neCount[j] = r.s.neCount[j], r.s.neCount[i]
+	copyTo(len(s.colID))
+	return out
 }
 
 // Obscurity returns the obscurity level the snapshot was compiled at.
@@ -191,7 +234,7 @@ func (s *Snapshot) Vertices() int { return len(s.nv) }
 
 // Edges returns the number of distinct co-occurring fragment pairs
 // (including session-only pairs).
-func (s *Snapshot) Edges() int { return s.edges }
+func (s *Snapshot) Edges() int { return len(s.colID) / 2 }
 
 // Lookup returns the snapshot-local ID of a fragment, or fragment.NoID when
 // the fragment is absent (never interned, or interned after compile).

@@ -234,7 +234,7 @@ func TestLiveConcurrentReadersAndAppends(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			live.AddQuery(appended, 1)
+			live.AddQueries([]*sqlparse.Query{appended}, nil)
 		}
 		if err := live.AddSession([]*sqlparse.Query{
 			newQ("SELECT j.name FROM journal j"),

@@ -541,7 +541,7 @@ type appendingCtx struct {
 
 func (c *appendingCtx) Err() error {
 	if c.appends.Add(1) <= 64 {
-		c.live.AddQuery(c.q, 1)
+		c.live.AddQueries([]*sqlparse.Query{c.q}, nil)
 	}
 	return nil
 }
@@ -575,7 +575,7 @@ func TestTranslateBatchServesOneEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.AddQuery(q, 1)
+	live.AddQueries([]*sqlparse.Query{q}, nil)
 	after, err := sys.Translate(context.Background(), kws, nil)
 	if err != nil {
 		t.Fatal(err)

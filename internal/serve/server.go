@@ -372,7 +372,7 @@ func (s *Server) coreLogAppend(ctx context.Context, t *Tenant, req api.LogAppend
 		return nil, api.Errorf(http.StatusUnprocessableEntity, api.CodeBatchTooLarge,
 			"serve: log batch of %d exceeds the cap of %d", len(req.Queries), s.maxLogBatch)
 	}
-	// Parsing and the O(V+E) snapshot recompile are CPU-heavy, so appends
+	// Parsing and the O(V+E) snapshot fold are CPU-heavy, so appends
 	// share the worker pool (and honor disconnects) like every endpoint.
 	var out *api.LogAppendResponse
 	var appendErr *api.Error

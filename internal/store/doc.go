@@ -10,8 +10,8 @@
 // round trip) and the snapshot's CSR arrays with co-occurrence weights as
 // raw IEEE-754 bits. A loaded snapshot therefore scores bit-identically
 // to the one that was packed — DiceID parity is tested on every bundled
-// dataset — and can keep accepting live log appends after
-// qfg.NewLiveFromSnapshot rehydrates its builder graph.
+// dataset — and can keep accepting live log appends once
+// qfg.NewLiveFromSnapshot wraps it, without copying it.
 //
 // Use Encode/Decode for in-memory round trips, Write/Read for streams,
 // and WriteFile/ReadFile for the conventional on-disk store (WriteFile is
