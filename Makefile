@@ -51,6 +51,7 @@ perfbench-check:
 fuzz:
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/sqlparse -fuzz 'FuzzParseLog$$' -fuzztime 30s
+	$(GO) test ./internal/db -run '^$$' -fuzz 'FuzzValueIndex$$' -fuzztime 20s
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -48,9 +48,10 @@ func allocSystem(t testing.TB) (*templarpkg.System, *datasets.Dataset) {
 }
 
 // TestMapKeywordsAllocCeiling pins steady-state MAPKEYWORDS allocations:
-// after the first call has warmed the candidate index and similarity
-// cache, the per-call cost is the result slice plus the configuration
-// rows — the enumeration scratch all comes from the arena pool.
+// after the first call has warmed the similarity cache (the value index is
+// built with the mapper), the per-call cost is the result slice plus the
+// configuration rows — the enumeration scratch all comes from the arena
+// pool.
 func TestMapKeywordsAllocCeiling(t *testing.T) {
 	sys, ds := allocSystem(t)
 	ctx := context.Background()

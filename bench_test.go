@@ -184,7 +184,7 @@ func goldLogGraph(b *testing.B, ds *datasets.Dataset) *qfg.Graph {
 // BenchmarkMapKeywordsIndexed measures per-call MAPKEYWORDS cost on the
 // serving hot path: the benchmark workload's keyword sets requested over
 // and over, as a production NLIDB front-end would, answered from the
-// mapper's precomputed candidate index and bounded similarity cache.
+// database's value index and the mapper's bounded similarity cache.
 func BenchmarkMapKeywordsIndexed(b *testing.B) {
 	ds := datasets.MAS()
 	mapper := keyword.NewSnapshotMapper(ds.DB, embedding.New(), goldLogGraph(b, ds).Snapshot(nil),

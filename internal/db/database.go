@@ -9,7 +9,14 @@ import (
 	"templar/internal/stem"
 )
 
-// Database binds a schema graph to table storage.
+// Database binds a schema graph to table storage and to the one value
+// index the keyword probes of Algorithm 2 answer from.
+//
+// A Database is filled first and read afterwards. The value index is built
+// once, on the first FindTextAttrs or FindNumericAttrs call or on
+// BuildIndex, and from then on every Insert fails with ErrIndexed, so a
+// probe never answers from stale rows. Reads — probes, PredicateNonEmpty,
+// Execute — are safe for concurrent use; Insert is not.
 type Database struct {
 	graph  *schema.Graph
 	tables map[string]*Table
@@ -20,6 +27,9 @@ type Database struct {
 	// the allocation profile.
 	keyOnce sync.Once
 	keyCols map[string]bool
+
+	indexOnce sync.Once
+	values    *valueIndex
 }
 
 // New creates an empty database over a schema graph, with one table per
@@ -39,7 +49,8 @@ func (d *Database) Schema() *schema.Graph { return d.graph }
 // Table returns the table for a relation, or nil.
 func (d *Database) Table(rel string) *Table { return d.tables[rel] }
 
-// Insert adds a row to a relation.
+// Insert adds a row to a relation. It fails with ErrIndexed once the value
+// index is built.
 func (d *Database) Insert(rel string, row []Value) error {
 	t, ok := d.tables[rel]
 	if !ok {
@@ -67,13 +78,24 @@ type TextMatch struct {
 // Qualified returns "relation.attribute".
 func (m TextMatch) Qualified() string { return m.Relation + "." + m.Attribute }
 
+// BuildIndex builds the value index now, if no probe has built it yet.
+// It makes the database read-only: every later Insert fails. A serving
+// engine calls it at construction, so no request pays for the build.
+func (d *Database) BuildIndex() { d.index() }
+
+// index returns the value index, building it on first use.
+func (d *Database) index() *valueIndex {
+	d.indexOnce.Do(func() { d.values = d.buildIndex() })
+	return d.values
+}
+
 // FindTextAttrs implements findTextAttrs from Algorithm 2: it stems every
-// whitespace-separated token of the keyword and runs a boolean-mode prefix
-// search over every text attribute, returning attributes with at least one
-// distinct value matching all tokens. skipTokens lists raw tokens to drop
-// from the search for a given attribute when they exactly match the stemmed
-// attribute or relation name (the "movie Saving Private Ryan" rule of §V-A);
-// pass nil to apply the rule automatically.
+// token of the keyword and runs a boolean-mode prefix search over every
+// text attribute, returning, in sorted relation then declaration order, the
+// attributes with at least one distinct value matching all tokens. Tokens
+// that exactly match the stemmed attribute or relation name are dropped
+// from that attribute's search (the "movie Saving Private Ryan" rule of
+// §V-A). It answers from the value index.
 func (d *Database) FindTextAttrs(keyword string) []TextMatch {
 	rawTokens := Tokenize(keyword)
 	if len(rawTokens) == 0 {
@@ -83,31 +105,24 @@ func (d *Database) FindTextAttrs(keyword string) []TextMatch {
 	for i, tok := range rawTokens {
 		stems[i] = stem.Stem(tok)
 	}
+	ix := d.index()
+	query := make([]string, 0, len(stems))
 	var out []TextMatch
-	for _, rn := range d.relationNames() {
-		t := d.tables[rn]
-		relStem := stem.Stem(rn)
-		for _, a := range t.rel.Attributes {
-			if a.Type != schema.Text {
-				continue
-			}
-			attrStem := stem.Stem(a.Name)
-			// Drop tokens that exactly match the stemmed attribute or
-			// relation name so they do not over-constrain the search.
-			query := stems[:0:0]
-			for _, s := range stems {
-				if s == relStem || s == attrStem {
-					continue
-				}
+	for i := range ix.text {
+		c := &ix.text[i]
+		// Drop tokens that exactly match the stemmed attribute or
+		// relation name so they do not over-constrain the search.
+		query = query[:0]
+		for _, s := range stems {
+			if s != c.relStem && s != c.attrStem {
 				query = append(query, s)
 			}
-			if len(query) == 0 {
-				continue
-			}
-			vals := t.MatchAll(a.Name, query)
-			if len(vals) > 0 {
-				out = append(out, TextMatch{Relation: rn, Attribute: a.Name, Values: vals})
-			}
+		}
+		if len(query) == 0 {
+			continue
+		}
+		if vals := c.matchAll(query); len(vals) > 0 {
+			out = append(out, TextMatch{Relation: c.rel, Attribute: c.attr, Values: vals})
 		}
 	}
 	return out
@@ -123,33 +138,28 @@ type NumericMatch struct {
 func (m NumericMatch) Qualified() string { return m.Relation + "." + m.Attribute }
 
 // FindNumericAttrs implements findNumericAttrs from Algorithm 2: all numeric
-// attributes containing at least one value satisfying "attr op n". Primary
-// and foreign key columns are excluded — surrogate ids are never the target
-// of a user's numeric predicate, and the paper's candidate set is built from
-// value attributes.
+// attributes containing at least one value satisfying "attr op n" ("" means
+// "="), in sorted relation then declaration order. Primary and foreign key
+// columns are excluded — surrogate ids are never the target of a user's
+// numeric predicate, and the paper's candidate set is built from value
+// attributes. It answers from the value index.
 func (d *Database) FindNumericAttrs(n float64, op string) []NumericMatch {
 	if op == "" {
 		op = "="
 	}
-	keyCols := d.keyColumns()
+	ix := d.index()
 	var out []NumericMatch
-	for _, rn := range d.relationNames() {
-		t := d.tables[rn]
-		for _, a := range t.rel.Attributes {
-			if a.Type != schema.Number || keyCols[rn+"."+a.Name] {
-				continue
-			}
-			ok, err := t.AnyMatch(a.Name, op, Num(n))
-			if err == nil && ok {
-				out = append(out, NumericMatch{Relation: rn, Attribute: a.Name})
-			}
+	for i := range ix.num {
+		if c := &ix.num[i]; c.anyMatch(op, n) {
+			out = append(out, NumericMatch{Relation: c.rel, Attribute: c.attr})
 		}
 	}
 	return out
 }
 
 // PredicateNonEmpty implements exec(c) ≠ ∅: whether "rel.attr op value"
-// selects at least one row.
+// selects at least one row. It scans the rows; with Table.MatchAll it is
+// the reference the value index is tested against.
 func (d *Database) PredicateNonEmpty(rel, attr, op string, value Value) bool {
 	t, ok := d.tables[rel]
 	if !ok {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"testing"
 
 	"templar/internal/schema"
@@ -197,6 +198,14 @@ func TestValueCompare(t *testing.T) {
 		{Str("xxabcyy"), "LIKE", Str("%abc%"), true},
 		{Str("xyz"), "LIKE", Str("%abc%"), false},
 		{Num(1), "=", Str("1"), false}, // cross-type
+		// NaN is unordered (IEEE 754): it equals nothing and differs
+		// from everything.
+		{Num(math.NaN()), "=", Num(math.NaN()), false},
+		{Num(math.NaN()), "!=", Num(1), true},
+		{Num(1), "<=", Num(math.NaN()), false},
+		{Num(math.NaN()), ">=", Num(1), false},
+		{Num(math.NaN()), "<", Num(1), false},
+		{Num(1), ">", Num(math.NaN()), false},
 	}
 	for _, c := range cases {
 		got, err := c.a.Compare(c.op, c.b)

@@ -1,7 +1,9 @@
 package db
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,33 +11,25 @@ import (
 	"templar/internal/stem"
 )
 
-// Table holds the rows of one relation together with its full-text and
-// distinct-value indexes.
+// Table holds the rows of one relation. Once the database's value index is
+// built (Database.BuildIndex), the table is read-only: Insert fails, so the
+// index never answers from stale rows.
 type Table struct {
-	rel    schema.Relation
-	colIdx map[string]int
-	rows   [][]Value
-	// fulltext maps column index -> stemmed token -> set of distinct values
-	// (by row value, not row id: DISTINCT(?attr) semantics from §V-A).
-	fulltext map[int]map[string]map[string]bool
-	// distinct maps column index -> distinct value set, for exact lookups.
-	distinct map[int]map[string]bool
+	rel     schema.Relation
+	colIdx  map[string]int
+	rows    [][]Value
+	indexed bool
 }
+
+// ErrIndexed is returned by Insert once the database's value index has
+// been built.
+var ErrIndexed = errors.New("db: the value index is built; the database is read-only")
 
 // newTable builds an empty table for a relation definition.
 func newTable(rel schema.Relation) *Table {
-	t := &Table{
-		rel:      rel,
-		colIdx:   make(map[string]int, len(rel.Attributes)),
-		fulltext: make(map[int]map[string]map[string]bool),
-		distinct: make(map[int]map[string]bool),
-	}
+	t := &Table{rel: rel, colIdx: make(map[string]int, len(rel.Attributes))}
 	for i, a := range rel.Attributes {
 		t.colIdx[a.Name] = i
-		if a.Type == schema.Text {
-			t.fulltext[i] = make(map[string]map[string]bool)
-			t.distinct[i] = make(map[string]bool)
-		}
 	}
 	return t
 }
@@ -47,8 +41,11 @@ func (t *Table) Name() string { return t.rel.Name }
 func (t *Table) Len() int { return len(t.rows) }
 
 // Insert appends a row. Values must match the declared column count and
-// types.
+// types, and the database's value index must not be built yet (ErrIndexed).
 func (t *Table) Insert(row []Value) error {
+	if t.indexed {
+		return fmt.Errorf("%w: insert into %s", ErrIndexed, t.rel.Name)
+	}
 	if len(row) != len(t.rel.Attributes) {
 		return fmt.Errorf("db: %s: row has %d values, want %d", t.rel.Name, len(row), len(t.rel.Attributes))
 	}
@@ -59,25 +56,12 @@ func (t *Table) Insert(row []Value) error {
 		}
 	}
 	t.rows = append(t.rows, append([]Value(nil), row...))
-	for ci, idx := range t.fulltext {
-		val := row[ci].S
-		if !t.distinct[ci][val] {
-			t.distinct[ci][val] = true
-		}
-		for _, tok := range Tokenize(val) {
-			s := stem.Stem(tok)
-			set := idx[s]
-			if set == nil {
-				set = make(map[string]bool)
-				idx[s] = set
-			}
-			set[val] = true
-		}
-	}
 	return nil
 }
 
-// Tokenize lowercases and splits a string on non-alphanumeric boundaries.
+// Tokenize lowercases and splits a string on non-alphanumeric boundaries,
+// so snake_case identifiers split too. The value index and the embedding
+// similarity model both tokenize with it.
 func Tokenize(s string) []string {
 	var out []string
 	var cur []byte
@@ -102,47 +86,35 @@ func Tokenize(s string) []string {
 	return out
 }
 
-// MatchAll returns the distinct values of the given column that contain, for
-// every query stem, at least one indexed token whose stem has the query stem
-// as a prefix — boolean-mode "+tok*" AND semantics.
+// MatchAll returns the sorted distinct values of the given text column that
+// contain, for every query stem, a token whose stem has the query stem as a
+// prefix — boolean-mode "+tok*" AND semantics. It scans every row: it is
+// the reference the value index behind FindTextAttrs is tested against.
 func (t *Table) MatchAll(column string, queryStems []string) []string {
-	ci, ok := t.colIdx[column]
-	if !ok {
+	if len(queryStems) == 0 {
 		return nil
 	}
-	idx, ok := t.fulltext[ci]
-	if !ok || len(queryStems) == 0 {
-		return nil
-	}
-	var result map[string]bool
-	for _, qs := range queryStems {
-		matched := make(map[string]bool)
-		for tok, vals := range idx {
-			if strings.HasPrefix(tok, qs) {
-				for v := range vals {
-					matched[v] = true
-				}
-			}
+	var out []string
+	for _, v := range t.DistinctValues(column) {
+		var stems []string
+		for _, tok := range Tokenize(v) {
+			stems = append(stems, stem.Stem(tok))
 		}
-		if result == nil {
-			result = matched
-		} else {
-			for v := range result {
-				if !matched[v] {
-					delete(result, v)
-				}
-			}
-		}
-		if len(result) == 0 {
-			return nil
+		if prefixesAll(stems, queryStems) {
+			out = append(out, v)
 		}
 	}
-	out := make([]string, 0, len(result))
-	for v := range result {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
+}
+
+// prefixesAll reports whether every query stem is a prefix of some stem.
+func prefixesAll(stems, queryStems []string) bool {
+	for _, qs := range queryStems {
+		if !slices.ContainsFunc(stems, func(s string) bool { return strings.HasPrefix(s, qs) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // AnyMatch reports whether any row satisfies "column op value". It is the
@@ -164,19 +136,20 @@ func (t *Table) AnyMatch(column, op string, value Value) (bool, error) {
 	return false, nil
 }
 
-// DistinctValues returns the sorted distinct values of a text column.
+// DistinctValues returns the sorted distinct values of a text column, or
+// nil for a numeric or unknown column.
 func (t *Table) DistinctValues(column string) []string {
 	ci, ok := t.colIdx[column]
-	if !ok {
+	if !ok || t.rel.Attributes[ci].Type != schema.Text {
 		return nil
 	}
-	set, ok := t.distinct[ci]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	seen := make(map[string]bool)
+	var out []string
+	for _, row := range t.rows {
+		if v := row[ci].S; !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
 	}
 	sort.Strings(out)
 	return out

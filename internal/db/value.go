@@ -64,12 +64,17 @@ func (v Value) Compare(op string, o Value) (bool, error) {
 		return false, nil
 	}
 	var c int
+	unordered := false
 	if v.IsNum {
 		switch {
 		case v.N < o.N:
 			c = -1
 		case v.N > o.N:
 			c = 1
+		case v.N != o.N:
+			// A NaN operand is unordered (IEEE 754): it equals nothing
+			// and differs from everything.
+			unordered = true
 		}
 	} else {
 		switch {
@@ -81,17 +86,17 @@ func (v Value) Compare(op string, o Value) (bool, error) {
 	}
 	switch op {
 	case "=":
-		return c == 0, nil
+		return c == 0 && !unordered, nil
 	case "!=":
-		return c != 0, nil
+		return c != 0 || unordered, nil
 	case "<":
 		return c < 0, nil
 	case "<=":
-		return c <= 0, nil
+		return c <= 0 && !unordered, nil
 	case ">":
 		return c > 0, nil
 	case ">=":
-		return c >= 0, nil
+		return c >= 0 && !unordered, nil
 	default:
 		return false, fmt.Errorf("db: unknown operator %q", op)
 	}

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"templar/internal/db"
 	"templar/internal/stem"
 )
 
@@ -117,7 +118,7 @@ func (m *Model) TokenSimilarity(a, b string) float64 {
 // the other, and the two directional averages are averaged. Empty phrases
 // score 0.
 func (m *Model) Similarity(a, b string) float64 {
-	ta, tb := splitTokens(a), splitTokens(b)
+	ta, tb := db.Tokenize(a), db.Tokenize(b)
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
@@ -136,32 +137,6 @@ func (m *Model) directional(from, to []string) float64 {
 		sum += best
 	}
 	return sum / float64(len(from))
-}
-
-// splitTokens lowercases and splits on non-alphanumerics, also breaking
-// snake_case and camelCase-free SQL identifiers apart.
-func splitTokens(s string) []string {
-	var out []string
-	var cur []byte
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, string(cur))
-			cur = cur[:0]
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			cur = append(cur, c)
-		case c >= 'A' && c <= 'Z':
-			cur = append(cur, c+'a'-'A')
-		default:
-			flush()
-		}
-	}
-	flush()
-	return out
 }
 
 // tokenVector builds the hashed character-trigram vector of a token. The

@@ -15,13 +15,15 @@
 // *qfg.Live so copy-on-write republishes reach the mapper without
 // rebuilding it, or nil for the log-free baseline. WithSource pins a
 // shallow copy of a mapper to one snapshot for the lifetime of a request
-// pipeline, sharing the candidate index and similarity cache.
+// pipeline, sharing the candidate lists and similarity cache.
 //
-// A Mapper is safe for concurrent use: candidate retrieval goes through an
-// inverted index over schema names and column values precomputed at
-// construction, embedding similarities are memoized in a bounded sharded
-// cache, and QFG scoring probes an immutable interned-ID snapshot with zero
-// locking.
+// A Mapper is safe for concurrent use: WHERE-context candidate retrieval
+// probes the database's value index (db.Database.FindTextAttrs and
+// FindNumericAttrs), which construction builds and which makes the
+// database read-only; FROM and SELECT candidates are listed at
+// construction; embedding similarities are memoized in a bounded sharded
+// cache; and QFG scoring probes an immutable interned-ID snapshot with
+// zero locking.
 //
 // Keyword carries the parser metadata M_k = (τ, ω, F, g) of §V-A;
 // ParseSpec builds keyword lists from the compact "text:context[:op|:agg]"

@@ -125,9 +125,6 @@ type Options struct {
 	// force their relations, which would double-count evidence; this flag
 	// exists for the design ablation.
 	IncludeFromInQFG bool
-	// SimCacheSize bounds the similarity memo cache (total entries across
-	// all shards, approximately — see simCache). Default 65536.
-	SimCacheSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -143,19 +140,15 @@ func (o Options) withDefaults() Options {
 	if o.MaxConfigurations <= 0 {
 		o.MaxConfigurations = 5000
 	}
-	if o.SimCacheSize <= 0 {
-		o.SimCacheSize = 65536
-	}
 	return o
 }
 
 // Mapper executes MAPKEYWORDS against one database.
 //
-// A Mapper is safe for concurrent use: the database, model, QFG snapshot
-// source and candidate index are read-only after construction, and the
-// similarity memo cache is internally synchronized. The bound database must
-// not be mutated while the Mapper is in use (the precomputed index would go
-// stale).
+// A Mapper is safe for concurrent use: the database (read-only once its
+// value index is built), model, QFG snapshot source and candidate lists are
+// read-only after construction, and the similarity memo cache is
+// internally synchronized.
 type Mapper struct {
 	db    *db.Database
 	model *embedding.Model
@@ -165,8 +158,11 @@ type Mapper struct {
 	// Mapper.
 	src  qfg.SnapshotSource
 	opts Options
-	// index precomputes candidate retrieval structures.
-	index *candidateIndex
+	// fromRels is the FROM-context candidate list (schema insertion order).
+	fromRels []string
+	// selectAttrs is the SELECT-context candidate list: every non-key
+	// attribute in schema insertion order.
+	selectAttrs []relAttr
 	// cache memoizes model.Similarity calls.
 	cache *simCache
 }
@@ -184,9 +180,10 @@ type Mapper struct {
 // obscurity level: Options.Obscurity is overridden, because querying a
 // NoConstOp log with Full fragments (or vice versa) can never match.
 //
-// Construction precomputes an inverted index over schema names and column
-// values (so candidate retrieval never scans tables per call) and installs
-// a bounded memo cache for embedding similarities.
+// Construction builds the database's value index if nothing has yet (see
+// db.Database.BuildIndex; the database is read-only from then on), lists
+// the FROM and SELECT candidates, and installs a bounded memo cache for
+// embedding similarities, so no request pays for any of it.
 func NewSnapshotMapper(database *db.Database, model *embedding.Model, src qfg.SnapshotSource, opts Options) *Mapper {
 	if snap, ok := src.(*qfg.Snapshot); ok && snap == nil {
 		src = nil // a nil *Snapshot in the interface would read as "has a log"
@@ -196,19 +193,31 @@ func NewSnapshotMapper(database *db.Database, model *embedding.Model, src qfg.Sn
 			opts.Obscurity = snap.Obscurity()
 		}
 	}
-	opts = opts.withDefaults()
-	return &Mapper{
-		db:    database,
-		model: model,
-		src:   src,
-		opts:  opts,
-		index: buildCandidateIndex(database),
-		cache: newSimCache(opts.SimCacheSize),
+	database.BuildIndex()
+	m := &Mapper{
+		db:       database,
+		model:    model,
+		src:      src,
+		opts:     opts.withDefaults(),
+		fromRels: database.Schema().Relations(),
+		cache:    newSimCache(simCacheSize),
 	}
+	for _, q := range database.Schema().QualifiedAttributes() {
+		rel, attr, err := splitQualified(q)
+		if err == nil && !database.IsKeyColumn(rel, attr) {
+			m.selectAttrs = append(m.selectAttrs, relAttr{rel, attr})
+		}
+	}
+	return m
+}
+
+// relAttr is one (relation, attribute) pair.
+type relAttr struct {
+	rel, attr string
 }
 
 // WithSource returns a shallow copy of the Mapper bound to a different
-// snapshot source, sharing the candidate index, similarity cache, database
+// snapshot source, sharing the candidate lists, similarity cache, database
 // and model (all safe for concurrent use). A serving engine uses it to pin
 // one republished snapshot for the lifetime of a request pipeline, so
 // configuration scores and join weights derive from the same log state.
@@ -337,8 +346,9 @@ func (m *Mapper) requestOptions(co CallOptions) (Options, error) {
 // Algorithm 2: candidate retrieval.
 
 // keywordCands maps one keyword to its unscored candidates, appending into
-// buf (pass buf[:0] to reuse a pooled buffer across calls). Retrieval goes
-// through the precomputed candidate index.
+// buf (pass buf[:0] to reuse a pooled buffer across calls). WHERE-context
+// retrieval probes the database's value index; FROM and SELECT candidates
+// come from the lists built at construction.
 func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	out := buf
 	if num, ok := extractNumber(kw.Text); ok {
@@ -346,7 +356,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		if op == "" {
 			op = "="
 		}
-		for _, match := range m.index.findNumericAttrs(num, op) {
+		for _, match := range m.db.FindNumericAttrs(num, op) {
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindPred,
@@ -360,7 +370,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	}
 	switch kw.Meta.Context {
 	case fragment.From:
-		for _, rel := range m.index.fromRels {
+		for _, rel := range m.fromRels {
 			out = append(out, Mapping{Keyword: kw.Text, Kind: KindRelation, Rel: rel})
 		}
 	case fragment.Select:
@@ -368,7 +378,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 		if len(kw.Meta.Aggs) > 0 {
 			agg = kw.Meta.Aggs[0]
 		}
-		for _, ra := range m.index.selectAttrs {
+		for _, ra := range m.selectAttrs {
 			out = append(out, Mapping{
 				Keyword: kw.Text,
 				Kind:    KindAttr,
@@ -381,7 +391,7 @@ func (m *Mapper) keywordCands(kw Keyword, buf []Mapping) []Mapping {
 	default:
 		// WHERE context: full-text search for matching text values (§V-A).
 		const maxValuesPerAttr = 8
-		for _, match := range m.index.findTextAttrs(kw.Text) {
+		for _, match := range m.db.FindTextAttrs(kw.Text) {
 			vals := match.Values
 			if len(vals) > maxValuesPerAttr {
 				vals = m.bestValues(kw.Text, vals, maxValuesPerAttr)
@@ -432,7 +442,7 @@ func (m *Mapper) scoreAndPrune(kw Keyword, cands []Mapping, opts Options) []Mapp
 	for i := range cands {
 		c := &cands[i]
 		if hasNum {
-			// findNumericAttrs already guaranteed exec(c) ≠ ∅; simnum
+			// db.FindNumericAttrs already guaranteed exec(c) ≠ ∅; simnum
 			// reduces to simtext of the residual text against the
 			// attribute label. An all-numeric keyword has no residual
 			// text: score a neutral constant so log evidence decides.

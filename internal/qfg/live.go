@@ -120,7 +120,7 @@ func (l *Live) Replay(ops []ReplayOp) error {
 				d.AddQuery(q, count)
 			}
 		}
-		d.internFragments(base.interner)
+		d.internFresh(base.interner)
 	}
 	l.snap.Store(base.fold(d))
 	return nil

@@ -43,6 +43,9 @@ type Graph struct {
 	// snapshot, supplies each session pair's starting weight: the pair's
 	// exact weight in seed, so sessNe ends up holding the folded totals.
 	seed *Snapshot
+	// fresh lists, in arrival order, the fragments whose nv went from
+	// absent to present since the last internFresh.
+	fresh []fragment.Fragment
 }
 
 // New returns an empty QFG at the given obscurity level.
@@ -68,6 +71,9 @@ func (g *Graph) AddQuery(q *sqlparse.Query, count int) {
 	defer g.mu.Unlock()
 	g.queries += count
 	for _, f := range frags {
+		if _, ok := g.nv[f]; !ok {
+			g.fresh = append(g.fresh, f)
+		}
 		g.nv[f] += count
 	}
 	for i := 0; i < len(frags); i++ {

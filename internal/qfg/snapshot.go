@@ -52,14 +52,27 @@ func (s *Snapshot) CurrentSnapshot() *Snapshot { return s }
 
 // internFragments interns the graph's fragment set into in, in sorted
 // order, so a fresh interner assigns deterministic IDs regardless of map
-// iteration order. fold calls it once per delta; Live.Replay calls it per
-// replayed operation, reproducing the IDs a republish after each operation
-// would have assigned. The caller holds g.mu or owns g outright.
+// iteration order. The caller holds g.mu or owns g outright.
 func (g *Graph) internFragments(in *fragment.Interner) {
 	frags := make([]fragment.Fragment, 0, len(g.nv))
 	for f := range g.nv {
 		frags = append(frags, f)
 	}
+	internSorted(in, frags)
+}
+
+// internFresh interns, in sorted order, only the fragments added since the
+// last call, and forgets them. Live.Replay calls it after every replayed
+// operation: fragments interned earlier keep their IDs (Intern is
+// idempotent), so this assigns exactly the IDs internFragments would, at
+// the cost of the operation's own new fragments rather than the whole
+// growing delta. The caller owns g outright.
+func (g *Graph) internFresh(in *fragment.Interner) {
+	internSorted(in, g.fresh)
+	g.fresh = g.fresh[:0]
+}
+
+func internSorted(in *fragment.Interner, frags []fragment.Fragment) {
 	sort.Slice(frags, func(i, j int) bool { return less(frags[i], frags[j]) })
 	for _, f := range frags {
 		in.Intern(f)
@@ -77,6 +90,7 @@ func (g *Graph) Snapshot(in *fragment.Interner) *Snapshot {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	g.internFragments(in)
 	return (&Snapshot{obscurity: g.obscurity, interner: in, rowStart: []uint32{0}}).fold(g)
 }
 
@@ -103,16 +117,16 @@ func (s *Snapshot) sessionWeight(pk pairKey) float64 {
 }
 
 // fold returns the snapshot that results from folding the delta graph d
-// into s, which stays untouched. d's new fragments are interned into s's
-// table first (internFragments); d's nv, ne and query counts add to s's;
-// d's session weights replace s's on the pairs d touches, because a delta
-// graph seeded from s (Graph.seed) accumulates them from s's exact weights.
+// into s, which stays untouched. The caller has already interned d's
+// fragments into s's table (internFragments or internFresh). d's nv, ne
+// and query counts add to s's; d's session weights replace s's on the
+// pairs d touches, because a delta graph seeded from s (Graph.seed)
+// accumulates them from s's exact weights.
 // Rows d does not touch are copied as they are and touched rows are merged
 // with d's sorted half-edges, so a fold costs one copy of the arrays plus
 // O(δ log δ) in the delta's size δ.
 func (s *Snapshot) fold(d *Graph) *Snapshot {
 	in := s.interner
-	d.internFragments(in)
 	n := in.Len()
 	out := &Snapshot{
 		obscurity: s.obscurity,

@@ -63,13 +63,13 @@ type Engine struct {
 // query fragment graph.
 //
 // A System is safe for concurrent use by multiple goroutines: the keyword
-// mapper precomputes its candidate index at construction and ranks against
+// mapper builds the database's value index at construction and ranks against
 // an immutable interned-ID QFG snapshot, the join generator clones its
 // precomputed adjacency graph per call, and the current engine is read with
 // one atomic load. With NewLive, log appends republish a fresh snapshot and
 // the engine is rebuilt copy-on-write — in-flight readers keep the engine
-// they loaded and are never blocked. The one caller obligation is to stop
-// mutating the database (Insert) before constructing the System.
+// they loaded and are never blocked. The database is read-only once the
+// System is constructed: a later Insert fails with db.ErrIndexed.
 type System struct {
 	database *db.Database
 	model    *embedding.Model
@@ -121,7 +121,7 @@ func NewLive(database *db.Database, model *embedding.Model, live *qfg.Live, opts
 }
 
 // buildEngine compiles the per-snapshot serving state. The translator's
-// mapper is pinned to the engine's snapshot (sharing the candidate index
+// mapper is pinned to the engine's snapshot (sharing the candidate lists
 // and similarity cache with the System's base mapper), so one Translate
 // call never mixes configuration scores from a newer republish with join
 // weights from an older one. A nil snapshot is the log-free baseline.
